@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available) + the tier-1 test suite +
+# the benchmark harness's own tests (perfbench/tracing.py wraps module
+# attributes by name, so renaming one must fail here, not in a bench run).
 #
 #   scripts/check.sh          # lint + tests
 #   scripts/check.sh --fast   # tests only, stop at first failure
@@ -24,5 +26,8 @@ if [ "$fast" = 1 ]; then
 else
     PYTHONPATH=src python -m pytest -q
 fi
+
+echo "== pytest (benchmark harness) =="
+PYTHONPATH=src python -m pytest perfbench/tests -q
 
 echo "ALL CHECKS PASSED"

@@ -12,8 +12,14 @@ Figure 2:
 6. ``PTP_MN``  — intra-level halo exchange of the fluxes;
 7. output accumulation and double-buffer swap.
 
-This class is the *numerical* model (single process, laptop scale).  The
-distributed performance replay of the same pipeline lives in
+This is the one implementation of that pipeline.  It walks a
+:class:`~repro.core.plan.StepPlan` built once at construction over the
+blocks this process holds.  A single-process model holds every block,
+so each transfer is a slice copy (halos) or a pack + unpack (JNZ/JNQ).
+A distributed rank (:mod:`repro.par.driver`) runs the same step over its
+own blocks; a transfer with an endpoint on another rank is packed and
+sent, or received and unpacked, through its communicator.  The
+distributed performance replay of the pipeline lives in
 :mod:`repro.runtime`.
 """
 
@@ -32,21 +38,41 @@ from repro.core.config import SimulationConfig
 from repro.core.mass import nlmass
 from repro.core.momentum import nlmnt2
 from repro.core.outputs import OutputAccumulator
+from repro.core.plan import StepPlan
 from repro.core.state import BlockState
 from repro.errors import ConfigurationError
 from repro.fault.scenarios import GaussianSource, initial_eta_for_block
 from repro.grid.cfl import check_cfl_depth_field
 from repro.grid.hierarchy import NestedGrid
 from repro.grid.staggered import NGHOST
-from repro.nesting.interp import child_boundary_segments, interpolate_fluxes
-from repro.nesting.restrict import restrict_eta
+from repro.nesting.interp import pack_flux_edges, unpack_flux_edges
+from repro.nesting.restrict import pack_restriction, unpack_restriction
 from repro.obs.trace import NOOP_SPAN as _NOOP_SPAN
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
+from repro.topo.bathymetry import ShelfBathymetry
+from repro.xchg.packing import (
+    frame_payload,
+    pack_boundary_offsets,
+    unframe_payload,
+    unpack_boundary_offsets,
+)
+
+# Not called here: bound because perfbench/tracing.py wraps these names
+# in this module.
+from repro.nesting.interp import interpolate_fluxes  # noqa: F401
+from repro.nesting.restrict import restrict_eta  # noqa: F401
+from repro.xchg.halo import exchange_halo  # noqa: F401
 
 _TRACER = get_tracer()
-from repro.topo.bathymetry import ShelfBathymetry
-from repro.xchg.halo import exchange_halo
+
+# Message tag bases per phase (the plan numbers transfers within one).
+_TAG_PTP_Z = 1_000_000
+_TAG_PTP_MN = 2_000_000
+_TAG_JNZ = 3_000_000
+_TAG_JNQ = 4_000_000
+
+_NEW = {"z": "z_new", "m": "m_new", "n": "n_new"}
 
 
 class CompositeMonitor:
@@ -99,7 +125,7 @@ class RTiModel:
         (e.g. :class:`repro.topo.ShelfBathymetry`).
     config:
         Runtime knobs; ``config.dt`` is validated against the CFL bound of
-        every grid level at construction.
+        every block at construction.
     """
 
     def __init__(
@@ -108,73 +134,63 @@ class RTiModel:
         bathymetry: ShelfBathymetry,
         config: SimulationConfig | None = None,
     ) -> None:
-        self.grid = grid
-        self.bathymetry = bathymetry
-        self.config = config or SimulationConfig()
-        self.time = 0.0
-        self.step_count = 0
-        #: Output-accumulation cadence in steps; the deadline supervisor
-        #: raises it ("coarsen output") to shed the OUTPUT phase's cost.
-        self.output_every = 1
-        g = NGHOST
-
-        self.states: dict[int, BlockState] = {}
-        for lvl in grid.levels:
-            for blk in lvl.blocks:
-                depth = bathymetry.sample_cells(
-                    (blk.gi0 - g) * lvl.dx,
-                    (blk.gj0 - g) * lvl.dx,
-                    blk.nx + 2 * g,
-                    blk.ny + 2 * g,
-                    lvl.dx,
-                )
-                # Only the physical cells plus one ghost layer feed the
-                # kernels (edge faces are overwritten by BC/coupling).
-                check_cfl_depth_field(
-                    lvl.dx, self.config.dt, depth[1:-1, 1:-1]
-                )
-                self.states[blk.block_id] = BlockState(
-                    blk, lvl.dx, depth, dtype=self.config.dtype
-                )
-
-        # Static topology: intra-level neighbor pairs, parent links and
-        # non-halo boundary segments (computed once; the decomposition is
-        # fixed during runtime, as the paper exploits in Listing 6).
-        self._neighbor_pairs = [
-            (a.block_id, b.block_id)
-            for lvl in grid.levels
-            for (a, b) in lvl.neighbor_pairs()
-        ]
-        self._segments: dict[int, dict[str, list[tuple[int, int]]]] = {}
-        self._parents: dict[int, list[int]] = {}
-        for lvl in grid.levels:
-            for blk in lvl.blocks:
-                self._segments[blk.block_id] = child_boundary_segments(
-                    lvl.blocks, blk
-                )
-                self._parents[blk.block_id] = [
-                    p.block_id for p in grid.parent_blocks_of(blk)
-                ]
-
-        self.outputs: dict[int, OutputAccumulator] = {}
-        self._init_outputs()
-
-        # Telemetry (armed via repro.obs.enable()): metric handles are
-        # resolved lazily on the first observed step so a disabled run
-        # never touches the registry.
-        self._n_cells = sum(
-            st.block.nx * st.block.ny for st in self.states.values()
+        config = config or SimulationConfig()
+        self._setup(
+            grid, bathymetry, config, StepPlan.build(grid, config),
+            [blk for lvl in grid.levels for blk in lvl.blocks],
         )
-        self._obs_metrics = None
-        self._obs_wall_s = 0.0
-        self._obs_steps = 0
+        self.outputs: dict[int, OutputAccumulator] = dict.fromkeys(
+            self.states
+        )
+        self._init_outputs()
 
     # ------------------------------------------------------------------
     # Setup
     # ------------------------------------------------------------------
 
+    def _setup(self, grid, bathymetry, config, plan, blocks) -> None:
+        """State shared by the model and a distributed rank."""
+        self.grid = grid
+        self.bathymetry = bathymetry
+        self.config = config
+        self.plan = plan
+        self.time = 0.0
+        self.step_count = 0
+        #: Output-accumulation cadence in steps; the deadline supervisor
+        #: raises it ("coarsen output") to shed the OUTPUT phase's cost.
+        self.output_every = 1
+        self.states: dict[int, BlockState] = {
+            blk.block_id: self._make_state(blk) for blk in blocks
+        }
+        # Telemetry (armed via repro.obs.enable()): metric handles are
+        # resolved lazily on the first observed step so a disabled run
+        # never touches the registry.
+        self._n_cells = grid.n_cells
+        self._obs_metrics = None
+        self._obs_wall_s = 0.0
+        self._obs_steps = 0
+
+    def _make_state(self, blk) -> BlockState:
+        """Sample one block's depth and check its CFL bound."""
+        g = NGHOST
+        dx = self.grid.level(blk.level).dx
+        depth = self.bathymetry.sample_cells(
+            (blk.gi0 - g) * dx,
+            (blk.gj0 - g) * dx,
+            blk.nx + 2 * g,
+            blk.ny + 2 * g,
+            dx,
+        )
+        # Only the physical cells plus one ghost layer feed the kernels
+        # (edge faces are overwritten by BC/coupling).
+        check_cfl_depth_field(dx, self.config.dt, depth[1:-1, 1:-1])
+        return BlockState(blk, dx, depth, dtype=self.config.dtype)
+
     def _init_outputs(self) -> None:
-        for bid, st in self.states.items():
+        # Only the blocks in ``outputs`` accumulate products: all of them
+        # on a single process, none on a distributed rank.
+        for bid in self.outputs:
+            st = self.states[bid]
             self.outputs[bid] = OutputAccumulator(
                 st.block,
                 st.depth_interior(),
@@ -182,32 +198,43 @@ class RTiModel:
             )
 
     def set_initial_condition(self, source) -> None:
-        """Impose a tsunami source on every block of every level.
+        """Impose a tsunami source on every block this model holds.
 
         *source* is a :class:`~repro.fault.GaussianSource` or a list of
         :class:`~repro.fault.OkadaFault` segments.
         """
-        for lvl in self.grid.levels:
-            for blk in lvl.blocks:
-                st = self.states[blk.block_id]
-                eta = initial_eta_for_block(
-                    source, blk, lvl.dx, depth=st.depth_interior()
-                )
-                st.set_initial_eta(eta)
+        for st in self.states.values():
+            eta = initial_eta_for_block(
+                source, st.block, st.dx, depth=st.depth_interior()
+            )
+            st.set_initial_eta(eta)
         self._init_outputs()
+
+    def snapshot_blocks(self, block_ids=None) -> dict[int, tuple]:
+        """:meth:`BlockState.capture` of the given (default: all) blocks."""
+        ids = self.states if block_ids is None else block_ids
+        return {bid: self.states[bid].capture() for bid in ids}
+
+    def restore_blocks(self, data: dict[int, tuple]) -> None:
+        """:meth:`BlockState.restore` every held block that *data* has.
+
+        Entries for blocks this model does not hold are ignored, so every
+        rank can be handed the same global restore map.
+        """
+        for bid, st in self.states.items():
+            if bid in data:
+                st.restore(data[bid])
 
     # ------------------------------------------------------------------
     # One leap-frog step (Fig. 2 pipeline)
     # ------------------------------------------------------------------
-
-    def _blocks_of_level(self, lvl_index: int):
-        return self.grid.level(lvl_index).blocks
-
-    def _outer_sides(self, block_id: int) -> tuple[str, ...]:
-        """Sides with at least one segment not covered by a neighbor."""
-        return tuple(
-            side for side, segs in self._segments[block_id].items() if segs
-        )
+    #
+    # A transfer whose two blocks are both in ``self.states`` stays in
+    # the process.  One with an endpoint elsewhere only arises on a
+    # distributed rank (repro.par.driver._RankRuntime), which supplies
+    # ``comm``, ``owner`` and ``frame_halos``.  Sends are buffered and
+    # every rank walks the same plan order, so the blocking receives
+    # cannot deadlock.
 
     def step(self) -> None:
         """Advance the coupled model by one time step.
@@ -251,28 +278,15 @@ class RTiModel:
         # (2) JNZ: child -> parent restriction, finest level first so a
         # multi-level cascade settles coarse levels last.
         with _span("JNZ", cat="comm"):
-            for lvl in reversed(self.grid.levels[1:]):
-                with _span("restrict", cat="comm", level=lvl.index):
-                    for blk in lvl.blocks:
-                        child = self.states[blk.block_id]
-                        for pid in self._parents[blk.block_id]:
-                            parent = self.states[pid]
-                            restrict_eta(
-                                parent.z_new,
-                                child.z_new,
-                                parent.block,
-                                child.block,
-                                mode=cfg.restriction,
-                                width=cfg.restriction_width,
-                                parent_h=parent.hz,
-                            )
+            for level, pairs in self.plan.jnz:
+                with _span("restrict", cat="comm", level=level):
+                    self._jnz(pairs)
 
         # (3) PTP_Z: ghost fill then halo exchange of the water level.
         with _span("PTP_Z", cat="comm"):
-            for bid, st in self.states.items():
+            for st in self.states.values():
                 fill_ghosts_zero_gradient(st.z_new, ("W", "E", "S", "N"))
-            for aid, bid in self._neighbor_pairs:
-                exchange_halo(self.states[aid], self.states[bid], "z")
+            self._seams(self.plan.seams_z, _TAG_PTP_Z)
 
         # (4) NLMNT2 on every block.
         with _span("NLMNT2"):
@@ -296,12 +310,13 @@ class RTiModel:
                         velocity_cap=cfg.velocity_cap,
                     )
 
-        # (5) Boundary conditions: outer BC on level 1, JNQ elsewhere.
+        # (5) Boundary conditions: outer BC on level 1, JNQ elsewhere,
+        # coarse level first (a level's pack may read an edge face the
+        # previous level's JNQ just wrote).
         with _span("JNQ", cat="comm"):
-            for blk in self._blocks_of_level(1):
-                st = self.states[blk.block_id]
-                sides = self._outer_sides(blk.block_id)
-                if not sides:
+            for bid, sides in self.plan.outer_sides.items():
+                st = self.states.get(bid)
+                if st is None:
                     continue
                 if cfg.boundary == "open":
                     apply_open_boundary(
@@ -309,40 +324,25 @@ class RTiModel:
                     )
                 else:
                     apply_wall_boundary(st.m_new, st.n_new, sides)
-            for lvl in self.grid.levels[1:]:
-                with _span("interp", cat="comm", level=lvl.index):
-                    for blk in lvl.blocks:
-                        child = self.states[blk.block_id]
-                        segs = self._segments[blk.block_id]
-                        for pid in self._parents[blk.block_id]:
-                            parent = self.states[pid]
-                            interpolate_fluxes(
-                                parent.m_new,
-                                parent.n_new,
-                                child.m_new,
-                                child.n_new,
-                                parent.block,
-                                child.block,
-                                segs,
-                            )
+            for level, pairs in self.plan.jnq:
+                with _span("interp", cat="comm", level=level):
+                    self._jnq(pairs)
 
         # (6) PTP_MN: ghost fill then halo exchange of the fluxes.
         with _span("PTP_MN", cat="comm"):
             for st in self.states.values():
                 fill_ghosts_zero_gradient(st.m_new, ("W", "E", "S", "N"))
                 fill_ghosts_zero_gradient(st.n_new, ("W", "E", "S", "N"))
-            for aid, bid in self._neighbor_pairs:
-                exchange_halo(self.states[aid], self.states[bid], "m")
-                exchange_halo(self.states[aid], self.states[bid], "n")
+            self._seams(self.plan.seams_mn, _TAG_PTP_MN)
 
         # (7) Outputs and double-buffer swap.
         self.time += dt
         self.step_count += 1
-        update_outputs = self.step_count % self.output_every == 0
         with _span("OUTPUT"):
-            for bid, st in self.states.items():
-                if update_outputs:
-                    self.outputs[bid].update(
+            if self.step_count % self.output_every == 0:
+                for bid, acc in self.outputs.items():
+                    st = self.states[bid]
+                    acc.update(
                         st.z_new,
                         st.m_new,
                         st.n_new,
@@ -350,10 +350,99 @@ class RTiModel:
                         self.time,
                         dry_threshold=cfg.dry_threshold,
                     )
+            for st in self.states.values():
                 st.swap()
 
         if obs_on:
             self._observe_step(_time.perf_counter() - _t0)
+
+    def _seams(self, seams, tag_base: int) -> None:
+        """Halo copies strictly in plan order.
+
+        A seam's source region may include ghost rows an earlier seam
+        just filled (extended corner ranges), so each copy, local or
+        packed for another rank, happens after all earlier ones.
+        """
+        states = self.states
+        for spec, tag in seams:
+            src = states.get(spec.src_block)
+            dst = states.get(spec.dst_block)
+            name = _NEW[spec.field]
+            if src is not None and dst is not None:
+                getattr(dst, name)[spec.dst] = getattr(src, name)[spec.src]
+            elif src is not None:
+                with _span("halo_pack", cat="comm", field=spec.field):
+                    buf = pack_boundary_offsets(
+                        [getattr(src, name)], spec.src
+                    )
+                    if self.frame_halos:
+                        buf = frame_payload(buf)
+                self.comm.send(
+                    buf, dest=self.owner[spec.dst_block], tag=tag_base + tag
+                )
+            elif dst is not None:
+                with _span("halo_recv", cat="comm", field=spec.field):
+                    buf = self.comm.recv(
+                        source=self.owner[spec.src_block],
+                        tag=tag_base + tag,
+                    )
+                with _span("halo_unpack", cat="comm", field=spec.field):
+                    if self.frame_halos:
+                        buf = unframe_payload(buf)
+                    unpack_boundary_offsets(
+                        buf, [getattr(dst, name)], spec.dst
+                    )
+
+    def _jnz(self, pairs) -> None:
+        """One level's restrictions: local ones and sends, then receives."""
+        states = self.states
+        for child, parent, regions, tag in pairs:
+            cs = states.get(child.block_id)
+            if cs is None:
+                continue
+            buf = pack_restriction(cs.z_new, child, regions)
+            ps = states.get(parent.block_id)
+            if ps is not None:
+                unpack_restriction(
+                    ps.z_new, parent, regions, buf, parent_h=ps.hz
+                )
+            else:
+                self.comm.send(
+                    buf, dest=self.owner[parent.block_id], tag=_TAG_JNZ + tag
+                )
+        for child, parent, regions, tag in pairs:
+            ps = states.get(parent.block_id)
+            if ps is not None and child.block_id not in states:
+                buf = self.comm.recv(
+                    source=self.owner[child.block_id], tag=_TAG_JNZ + tag
+                )
+                unpack_restriction(
+                    ps.z_new, parent, regions, buf, parent_h=ps.hz
+                )
+
+    def _jnq(self, pairs) -> None:
+        """One level's flux interpolations: local ones and sends, then
+        receives."""
+        states = self.states
+        for child, parent, edges, tag in pairs:
+            ps = states.get(parent.block_id)
+            if ps is None:
+                continue
+            buf = pack_flux_edges(ps.m_new, ps.n_new, edges)
+            cs = states.get(child.block_id)
+            if cs is not None:
+                unpack_flux_edges(cs.m_new, cs.n_new, edges, buf)
+            else:
+                self.comm.send(
+                    buf, dest=self.owner[child.block_id], tag=_TAG_JNQ + tag
+                )
+        for child, parent, edges, tag in pairs:
+            cs = states.get(child.block_id)
+            if cs is not None and parent.block_id not in states:
+                buf = self.comm.recv(
+                    source=self.owner[parent.block_id], tag=_TAG_JNQ + tag
+                )
+                unpack_flux_edges(cs.m_new, cs.n_new, edges, buf)
 
     def _observe_step(self, wall_s: float) -> None:
         """Fold one step into the process metrics registry (obs armed)."""
@@ -467,7 +556,7 @@ class RTiModel:
         """
         return sum(
             self.states[blk.block_id].volume()
-            for blk in self._blocks_of_level(1)
+            for blk in self.grid.level(1).blocks
         )
 
     def max_eta(self, level: int | None = None) -> float:

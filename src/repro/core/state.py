@@ -159,6 +159,31 @@ class BlockState:
         """Water volume over the physical cells [m^3]."""
         return float(self.total_depth().sum()) * self.dx * self.dx
 
+    # -- in-memory snapshots (checkpoints, migration, rollback) -----------
+
+    def capture(self) -> tuple:
+        """Deep copy of the prognostic state as ``(z0, z1, m0, m1, n0, n1, flip)``.
+
+        The one in-memory snapshot layout: checkpoint rings, diskless
+        rank checkpoints and block migration all carry these tuples, and
+        integrity digests cover their six buffers.
+        """
+        return (
+            *(a.copy() for a in (*self._z, *self._m, *self._n)),
+            self._flip,
+        )
+
+    def restore(self, snap: tuple) -> None:
+        """Overwrite the prognostic state from a :meth:`capture` tuple."""
+        z0, z1, m0, m1, n0, n1, flip = snap
+        self._z[0][...] = z0
+        self._z[1][...] = z1
+        self._m[0][...] = m0
+        self._m[1][...] = m1
+        self._n[0][...] = n0
+        self._n[1][...] = n1
+        self._flip = flip
+
     # -- serialization (repro.persist) ------------------------------------
 
     def state_arrays(self) -> dict[str, np.ndarray]:

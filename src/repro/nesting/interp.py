@@ -107,6 +107,79 @@ def _edge_geometry(
     return (pface, plo, phi, face_y)
 
 
+def flux_edges(
+    parent: Block,
+    child: Block,
+    segments: dict[str, list[tuple[int, int]]],
+    ratio: int = REFINEMENT_RATIO,
+    nghost: int = NGHOST,
+) -> list[tuple[int, tuple, tuple, int]]:
+    """Resolve one parent/child pair's JNQ copies once.
+
+    Returns ``(k, src, dst, size)`` per fed segment, side by side (W, E,
+    S, N): *k* selects the flux (0: M on W/E edges, 1: N on S/N edges),
+    *src* indexes the *size* parent faces in the parent's padded array
+    and *dst* the ``ratio * size`` child faces they cover.  The
+    decomposition is static, so the step plan resolves these at set-up
+    and the pack/unpack below is pure slicing.
+    """
+    g = nghost
+    edges = []
+    for side in ("W", "E", "S", "N"):
+        for seg in segments.get(side, []):
+            geom = _edge_geometry(parent, child, side, seg, ratio)
+            if geom is None:
+                continue
+            pface, plo, phi, edge = geom
+            size = phi - plo
+            if side in ("W", "E"):
+                r0 = g + ratio * plo - child.gj0
+                src = (
+                    slice(g + plo - parent.gj0, g + phi - parent.gj0),
+                    g + pface - parent.gi0,
+                )
+                dst = (slice(r0, r0 + ratio * size), g + edge - child.gi0)
+                edges.append((0, src, dst, size))
+            else:
+                c0 = g + ratio * plo - child.gi0
+                src = (
+                    g + pface - parent.gj0,
+                    slice(g + plo - parent.gi0, g + phi - parent.gi0),
+                )
+                dst = (g + edge - child.gj0, slice(c0, c0 + ratio * size))
+                edges.append((1, src, dst, size))
+    return edges
+
+
+def pack_flux_edges(
+    parent_m: np.ndarray, parent_n: np.ndarray, edges
+) -> np.ndarray:
+    """Sender side of JNQ over :func:`flux_edges`: parent face values."""
+    if not edges:
+        return np.empty(0, dtype=parent_m.dtype)
+    fluxes = (parent_m, parent_n)
+    return np.concatenate([fluxes[k][src] for k, src, _dst, _n in edges])
+
+
+def unpack_flux_edges(
+    child_m: np.ndarray,
+    child_n: np.ndarray,
+    edges,
+    buf: np.ndarray,
+    ratio: int = REFINEMENT_RATIO,
+) -> int:
+    """Receiver side of JNQ: copy each parent value onto *ratio* child faces.
+
+    Returns the number of child faces written.
+    """
+    fluxes = (child_m, child_n)
+    offset = 0
+    for k, _src, dst, size in edges:
+        fluxes[k][dst] = np.repeat(buf[offset : offset + size], ratio)
+        offset += size
+    return ratio * offset
+
+
 def pack_fluxes(
     parent_m: np.ndarray,
     parent_n: np.ndarray,
@@ -117,28 +190,9 @@ def pack_fluxes(
     nghost: int = NGHOST,
 ) -> np.ndarray:
     """Sender side of JNQ: parent face values, side by side, seg by seg."""
-    g = nghost
-    parts: list[np.ndarray] = []
-    for side in ("W", "E", "S", "N"):
-        flux = parent_m if side in ("W", "E") else parent_n
-        for seg in segments.get(side, []):
-            geom = _edge_geometry(parent, child, side, seg, ratio)
-            if geom is None:
-                continue
-            pface, plo, phi, _edge = geom
-            if side in ("W", "E"):
-                col = g + pface - parent.gi0
-                parts.append(
-                    flux[g + plo - parent.gj0 : g + phi - parent.gj0, col]
-                )
-            else:
-                row = g + pface - parent.gj0
-                parts.append(
-                    flux[row, g + plo - parent.gi0 : g + phi - parent.gi0]
-                )
-    if not parts:
-        return np.empty(0, dtype=parent_m.dtype)
-    return np.concatenate([np.asarray(p).ravel() for p in parts])
+    return pack_flux_edges(
+        parent_m, parent_n, flux_edges(parent, child, segments, ratio, nghost)
+    )
 
 
 def unpack_fluxes(
@@ -152,32 +206,13 @@ def unpack_fluxes(
     nghost: int = NGHOST,
 ) -> int:
     """Receiver side of JNQ: copy each parent value onto 3 child faces."""
-    g = nghost
-    offset = 0
-    written = 0
-    for side in ("W", "E", "S", "N"):
-        flux = child_m if side in ("W", "E") else child_n
-        for seg in segments.get(side, []):
-            geom = _edge_geometry(parent, child, side, seg, ratio)
-            if geom is None:
-                continue
-            pface, plo, phi, edge = geom
-            vals = buf[offset : offset + (phi - plo)]
-            offset += phi - plo
-            if side in ("W", "E"):
-                child_col = g + (edge - child.gi0)
-                r0 = g + ratio * plo - child.gj0
-                flux[r0 : r0 + ratio * (phi - plo), child_col] = np.repeat(
-                    vals, ratio
-                )
-            else:
-                child_row = g + (edge - child.gj0)
-                c0 = g + ratio * plo - child.gi0
-                flux[child_row, c0 : c0 + ratio * (phi - plo)] = np.repeat(
-                    vals, ratio
-                )
-            written += ratio * (phi - plo)
-    return written
+    return unpack_flux_edges(
+        child_m,
+        child_n,
+        flux_edges(parent, child, segments, ratio, nghost),
+        buf,
+        ratio,
+    )
 
 
 def interpolate_fluxes(
@@ -194,11 +229,12 @@ def interpolate_fluxes(
     """Impose parent fluxes on the child's boundary faces (in place).
 
     *segments* comes from :func:`child_boundary_segments`.  Returns the
-    number of child faces written (the JNQ message volume).  Implemented
-    as pack + unpack so the local and distributed (MPI) paths are
-    numerically identical by construction.
+    number of child faces written (the JNQ message volume).  This is the
+    standalone form of one JNQ transfer; the model's step pipeline
+    (:mod:`repro.core.model`) runs the same pack + unpack over edges it
+    resolved once, moving the buffer through a message only when parent
+    and child live on different ranks.
     """
-    buf = pack_fluxes(parent_m, parent_n, parent, child, segments, ratio, nghost)
-    return unpack_fluxes(
-        child_m, child_n, parent, child, segments, buf, ratio, nghost
-    )
+    edges = flux_edges(parent, child, segments, ratio, nghost)
+    buf = pack_flux_edges(parent_m, parent_n, edges)
+    return unpack_flux_edges(child_m, child_n, edges, buf, ratio)

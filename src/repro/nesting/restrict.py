@@ -142,8 +142,10 @@ def restrict_eta(
 
     Both arrays are padded per :mod:`repro.grid.staggered`.  Returns the
     number of parent cells written (the JNZ message volume in cells).
-    Implemented as pack + unpack so the local and distributed (MPI) paths
-    are numerically identical by construction.  See
+    This is the standalone form of one JNZ transfer; the model's step
+    pipeline (:mod:`repro.core.model`) runs the same pack + unpack over
+    regions it computed once, moving the buffer through a message only
+    when child and parent live on different ranks.  See
     :func:`unpack_restriction` for the *parent_h* land mask.
     """
     regions = restriction_region(parent, child, mode, width, ratio)

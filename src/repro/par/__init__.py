@@ -21,7 +21,6 @@ here; instead this package provides
 """
 
 from repro.par.comm import Communicator, run_ranks
-from repro.par.driver import run_distributed
 from repro.par.decomposition import (
     Decomposition,
     RankWork,
@@ -33,6 +32,17 @@ from repro.par.decomposition import (
 )
 from repro.par.timing import MessageCostModel
 from repro.par.protocol import ProtocolConfig, message_time
+
+
+def __getattr__(name: str):
+    # The driver's rank runtime subclasses repro.core.RTiModel, whose
+    # import chain (via repro.obs) reaches this package: load it on use.
+    if name == "run_distributed":
+        from repro.par.driver import run_distributed
+
+        return run_distributed
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Communicator",

@@ -1,208 +1,87 @@
 """Distributed time-integration driver over the simulated MPI.
 
-:class:`DistributedModel` runs the same Fig.-2 pipeline as
-:class:`repro.core.RTiModel`, but with the blocks partitioned across
-simulated-MPI ranks: every inter-rank data movement goes through pack ->
-``Communicator.send/recv`` -> unpack, using the exact index math and
-buffer layouts of the single-process operators (``seam_copy_specs``,
-``pack_restriction``/``unpack_restriction``, ``pack_fluxes``/
-``unpack_fluxes``).  A distributed run is therefore bitwise identical to
-the single-process model — the correctness contract the paper's
-communication migration relies on, verified in
-``tests/test_distributed.py``.
+:func:`run_distributed` runs the model's one Fig.-2 step pipeline
+(:meth:`repro.core.RTiModel.step`) with the blocks partitioned across
+simulated-MPI ranks.  Each rank is a :class:`_RankRuntime`: the same
+pipeline over the rank's own blocks, walking the same precomputed
+:class:`~repro.core.plan.StepPlan`.  A transfer with an endpoint on
+another rank goes through pack -> ``Communicator.send/recv`` -> unpack
+with the buffer layouts of the single-process operators, so a
+distributed run is bitwise identical to the single-process model — the
+correctness contract the paper's communication migration relies on,
+verified in ``tests/test_distributed.py``.
 
 Each rank allocates only its own blocks' state (the distributed-memory
-point of the exercise); the grid and decomposition metadata are global.
+point of the exercise); the grid and the step plan are global.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.boundary import (
-    apply_open_boundary,
-    apply_wall_boundary,
-    fill_ghosts_zero_gradient,
-)
 from repro.core.config import SimulationConfig
-from repro.core.mass import nlmass
-from repro.core.momentum import nlmnt2
-from repro.core.state import BlockState
+from repro.core.model import RTiModel
+from repro.core.plan import StepPlan
 from repro.grid.hierarchy import NestedGrid
-from repro.grid.staggered import NGHOST
-from repro.nesting.interp import (
-    child_boundary_segments,
-    pack_fluxes,
-    unpack_fluxes,
-)
-from repro.nesting.restrict import (
-    pack_restriction,
-    restriction_region,
-    unpack_restriction,
-)
 from repro.obs.trace import get_tracer
 from repro.obs.trace import span as _span
 from repro.par.comm import Communicator, run_ranks
 from repro.par.decomposition import Decomposition
-from repro.xchg.packing import (
-    frame_payload,
+
+# Not called here (ranks run RTiModel.step): bound because
+# perfbench/tracing.py wraps these names in this module.
+from repro.core.mass import nlmass  # noqa: F401
+from repro.core.momentum import nlmnt2  # noqa: F401
+from repro.nesting.interp import pack_fluxes, unpack_fluxes  # noqa: F401
+from repro.nesting.restrict import (  # noqa: F401
+    pack_restriction,
+    unpack_restriction,
+)
+from repro.xchg.packing import (  # noqa: F401
     pack_boundary_offsets,
-    unframe_payload,
     unpack_boundary_offsets,
 )
-from repro.xchg.specs import seam_copy_specs
-
-# Tag bases per phase (specs/pairs are enumerated deterministically).
-_TAG_PTP_Z = 1_000_000
-_TAG_PTP_MN = 2_000_000
-_TAG_JNZ = 3_000_000
-_TAG_JNQ = 4_000_000
 
 
-@dataclass
-class _Topology:
-    """Deterministic global communication plan (identical on all ranks)."""
+class _RankRuntime(RTiModel):
+    """One rank's share of the model: the step pipeline over its blocks.
 
-    owner: dict[int, int]  # block_id -> rank
-    seam_specs: list  # [(spec, tag_index)]
-    jnz_pairs: list  # [(level, child_id, parent_id, regions, tag)]
-    jnq_pairs: list  # [(child_id, parent_id, segments, tag)]
-    segments: dict[int, dict]
-    outer_sides: dict[int, tuple[str, ...]]
-
-
-def _build_topology(grid: NestedGrid, decomp: Decomposition, cfg) -> _Topology:
-    owner = decomp.owner_map()
-
-    seam_specs = []
-    tag = 0
-    for lvl in grid.levels:
-        for a, b in lvl.neighbor_pairs():
-            for spec in seam_copy_specs(a, b):
-                seam_specs.append((spec, tag))
-                tag += 1
-
-    jnz_pairs = []
-    jnq_pairs = []
-    segments: dict[int, dict] = {}
-    outer: dict[int, tuple[str, ...]] = {}
-    jtag = 0
-    qtag = 0
-    for lvl in grid.levels:
-        for blk in lvl.blocks:
-            segs = child_boundary_segments(lvl.blocks, blk)
-            segments[blk.block_id] = segs
-            outer[blk.block_id] = tuple(s for s, v in segs.items() if v)
-    for lvl in grid.levels[1:]:
-        for child in lvl.blocks:
-            for parent in grid.parent_blocks_of(child):
-                regions = restriction_region(
-                    parent, child, mode=cfg.restriction,
-                    width=cfg.restriction_width,
-                )
-                jnz_pairs.append(
-                    (lvl.index, child.block_id, parent.block_id, regions, jtag)
-                )
-                jtag += 1
-                jnq_pairs.append(
-                    (
-                        child.block_id,
-                        parent.block_id,
-                        segments[child.block_id],
-                        qtag,
-                    )
-                )
-                qtag += 1
-    return _Topology(owner, seam_specs, jnz_pairs, jnq_pairs, segments, outer)
-
-
-class _RankRuntime:
-    """Per-rank state and one-step pipeline."""
+    What only a rank has on top of :class:`RTiModel`: its block subset,
+    the communicator (bound when the rank starts), a mutable owner map
+    and block adoption/release for migration.  A rank accumulates no
+    forecast products.
+    """
 
     def __init__(
         self,
-        comm: Communicator,
+        rank: int,
         grid: NestedGrid,
-        decomp: Decomposition,
         bathymetry,
-        cfg: SimulationConfig,
-        topo: _Topology,
+        config: SimulationConfig,
+        plan: StepPlan,
+        owner: dict[int, int],
         frame_halos: bool = False,
     ) -> None:
-        self.comm = comm
-        self.grid = grid
-        self.cfg = cfg
-        self.topo = topo
-        self.bathymetry = bathymetry
+        self._setup(
+            grid, bathymetry, config, plan,
+            [grid.block(bid) for bid, r in owner.items() if r == rank],
+        )
+        self.outputs = {}
+        self.comm: Communicator | None = None
+        # Rank-local, mutable ownership view.  The survivable runtime
+        # retargets entries when it migrates blocks (straggler hedging),
+        # identically on every rank, so the plan order is preserved.
+        self.owner = dict(owner)
         # With frame_halos, packed seam buffers carry a CRC-32 trailer
         # verified before unpacking (the xchg-level ABFT check, on top
         # of any transport-level MessageIntegrity policy).
         self.frame_halos = frame_halos
-        # Rank-local, mutable ownership view.  It starts as a copy of the
-        # static plan; the survivable runtime retargets entries when it
-        # migrates blocks (straggler hedging), identically on every rank,
-        # so the deterministic exchange order is preserved.
-        self.owner: dict[int, int] = dict(topo.owner)
-        self.states: dict[int, BlockState] = {}
-        for it in decomp.ranks[comm.rank].items:
-            blk = it.block
-            self.states[blk.block_id] = self._make_state(blk)
 
-    def _make_state(self, blk) -> BlockState:
-        g = NGHOST
-        lvl = self.grid.level(blk.level)
-        depth = self.bathymetry.sample_cells(
-            (blk.gi0 - g) * lvl.dx,
-            (blk.gj0 - g) * lvl.dx,
-            blk.nx + 2 * g,
-            blk.ny + 2 * g,
-            lvl.dx,
-        )
-        return BlockState(blk, lvl.dx, depth, dtype=self.cfg.dtype)
-
-    def _local(self, block_id: int) -> bool:
-        return block_id in self.states
-
-    # -- state capture / restore (diskless checkpoints, migration) -------
-
-    def snapshot_blocks(self, block_ids=None) -> dict[int, tuple]:
-        """Deep-copy the full prognostic state of the given local blocks.
-
-        Returns ``{block_id: (z0, z1, m0, m1, n0, n1, flip)}`` — the same
-        buffer layout as :class:`repro.resilience.checkpoint.Checkpoint`.
-        The arrays are copies: safe to ship over the transport and to
-        keep across subsequent steps.
-        """
-        if block_ids is None:
-            block_ids = self.states.keys()
-        out: dict[int, tuple] = {}
-        for bid in block_ids:
-            st = self.states[bid]
-            out[bid] = (
-                *(a.copy() for a in (*st._z, *st._m, *st._n)),
-                st._flip,
-            )
-        return out
-
-    def restore_blocks(self, data: dict[int, tuple]) -> None:
-        """Overwrite local block states from :meth:`snapshot_blocks` data.
-
-        Entries for blocks this rank does not own are ignored, so the
-        caller can hand every rank the same global restore map.
-        """
-        for bid, st in self.states.items():
-            if bid not in data:
-                continue
-            z0, z1, m0, m1, n0, n1, flip = data[bid]
-            st._z[0][...] = z0
-            st._z[1][...] = z1
-            st._m[0][...] = m0
-            st._m[1][...] = m1
-            st._n[0][...] = n0
-            st._n[1][...] = n1
-            st._flip = flip
+    def _observe_step(self, wall_s: float) -> None:
+        # The ranks together advance the model by one step per step:
+        # rank 0 alone feeds the step metrics.
+        if self.comm.rank == 0:
+            super()._observe_step(wall_s)
 
     def adopt_blocks(self, data: dict[int, tuple]) -> None:
         """Take ownership of blocks migrated from another rank."""
@@ -215,172 +94,21 @@ class _RankRuntime:
         for bid in list(block_ids):
             self.states.pop(bid, None)
 
-    def _field(self, state: BlockState, name: str) -> np.ndarray:
-        return {"z": state.z_new, "m": state.m_new, "n": state.n_new}[name]
 
-    # -- exchange phases -------------------------------------------------
-
-    def _ptp(self, fields: tuple[str, ...], tag_base: int) -> None:
-        """Halo exchange of the given fields over every seam.
-
-        Specs are processed strictly in the global spec order on every
-        rank: a seam's source region may include ghost rows that an
-        earlier seam just filled (extended corner ranges), so packing must
-        happen *after* all earlier applies — exactly the order the
-        single-process model uses, which is what makes the two paths
-        bitwise identical.  Sends are buffered, and all ranks walk the
-        same total order, so the in-order blocking receives cannot
-        deadlock.
-        """
-        for spec, tag in self.topo.seam_specs:
-            if spec.field not in fields:
-                continue
-            src_rank = self.owner[spec.src_block]
-            dst_rank = self.owner[spec.dst_block]
-            if src_rank == dst_rank == self.comm.rank:
-                src = self._field(self.states[spec.src_block], spec.field)
-                dst = self._field(self.states[spec.dst_block], spec.field)
-                dst[spec.dst] = src[spec.src]
-            elif src_rank == self.comm.rank:
-                arr = self._field(self.states[spec.src_block], spec.field)
-                with _span("halo_pack", cat="comm", field=spec.field):
-                    buf = pack_boundary_offsets([arr], spec.src)
-                    if self.frame_halos:
-                        buf = frame_payload(buf)
-                self.comm.send(buf, dest=dst_rank, tag=tag_base + tag)
-            elif dst_rank == self.comm.rank:
-                with _span("halo_recv", cat="comm", field=spec.field):
-                    buf = self.comm.recv(source=src_rank, tag=tag_base + tag)
-                dst = self._field(self.states[spec.dst_block], spec.field)
-                with _span("halo_unpack", cat="comm", field=spec.field):
-                    if self.frame_halos:
-                        buf = unframe_payload(buf)
-                    unpack_boundary_offsets(buf, [dst], spec.dst)
-
-    def _jnz(self) -> None:
-        """Child-to-parent restriction, finest level first."""
-        for lvl in reversed(self.grid.levels[1:]):
-            sends = [p for p in self.topo.jnz_pairs if p[0] == lvl.index]
-            for _lv, child_id, parent_id, regions, tag in sends:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                child = self.grid.block(child_id)
-                parent = self.grid.block(parent_id)
-                if c_rank == p_rank == self.comm.rank:
-                    buf = pack_restriction(
-                        self.states[child_id].z_new, child, regions
-                    )
-                    unpack_restriction(
-                        self.states[parent_id].z_new, parent, regions, buf,
-                        parent_h=self.states[parent_id].hz,
-                    )
-                elif c_rank == self.comm.rank:
-                    buf = pack_restriction(
-                        self.states[child_id].z_new, child, regions
-                    )
-                    self.comm.send(buf, dest=p_rank, tag=_TAG_JNZ + tag)
-            for _lv, child_id, parent_id, regions, tag in sends:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                if p_rank == self.comm.rank and c_rank != self.comm.rank:
-                    buf = self.comm.recv(source=c_rank, tag=_TAG_JNZ + tag)
-                    unpack_restriction(
-                        self.states[parent_id].z_new,
-                        self.grid.block(parent_id),
-                        regions,
-                        buf,
-                        parent_h=self.states[parent_id].hz,
-                    )
-
-    def _jnq(self) -> None:
-        """Parent-to-child flux interpolation, coarse level first.
-
-        The cascade matters: a level-(l+1) pack may read a level-l edge
-        face that level l's own JNQ (from level l-1) just updated, so a
-        level's receives must complete before the next level's packs.
-        """
-        for lvl in self.grid.levels[1:]:
-            pairs = [
-                p
-                for p in self.topo.jnq_pairs
-                if self.grid.block(p[0]).level == lvl.index
-            ]
-            for child_id, parent_id, segs, tag in pairs:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                child = self.grid.block(child_id)
-                parent = self.grid.block(parent_id)
-                if p_rank == self.comm.rank:
-                    ps = self.states[parent_id]
-                    buf = pack_fluxes(ps.m_new, ps.n_new, parent, child, segs)
-                    if c_rank == self.comm.rank:
-                        cs = self.states[child_id]
-                        unpack_fluxes(
-                            cs.m_new, cs.n_new, parent, child, segs, buf
-                        )
-                    else:
-                        self.comm.send(buf, dest=c_rank, tag=_TAG_JNQ + tag)
-            for child_id, parent_id, segs, tag in pairs:
-                c_rank = self.owner[child_id]
-                p_rank = self.owner[parent_id]
-                if c_rank == self.comm.rank and p_rank != self.comm.rank:
-                    buf = self.comm.recv(source=p_rank, tag=_TAG_JNQ + tag)
-                    cs = self.states[child_id]
-                    unpack_fluxes(
-                        cs.m_new,
-                        cs.n_new,
-                        self.grid.block(parent_id),
-                        self.grid.block(child_id),
-                        segs,
-                        buf,
-                    )
-
-    # -- one step ----------------------------------------------------------
-
-    def step(self) -> None:
-        cfg = self.cfg
-        with _span("NLMASS"):
-            for st in self.states.values():
-                nlmass(
-                    st.z_old, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,
-                    out=st.z_new, dry_threshold=cfg.dry_threshold,
-                )
-        with _span("JNZ", cat="comm"):
-            self._jnz()
-        with _span("PTP_Z", cat="comm"):
-            for st in self.states.values():
-                fill_ghosts_zero_gradient(st.z_new, ("W", "E", "S", "N"))
-            self._ptp(("z",), _TAG_PTP_Z)
-        with _span("NLMNT2"):
-            for st in self.states.values():
-                nlmnt2(
-                    st.z_new, st.m_old, st.n_old, st.hz, cfg.dt, st.dx,
-                    cfg.manning, out_m=st.m_new, out_n=st.n_new,
-                    nonlinear=cfg.nonlinear, dry_threshold=cfg.dry_threshold,
-                    velocity_cap=cfg.velocity_cap,
-                )
-        with _span("JNQ", cat="comm"):
-            for bid, st in self.states.items():
-                if st.block.level != 1:
-                    continue
-                sides = self.topo.outer_sides[bid]
-                if not sides:
-                    continue
-                if cfg.boundary == "open":
-                    apply_open_boundary(
-                        st.z_new, st.m_new, st.n_new, st.hz, sides
-                    )
-                else:
-                    apply_wall_boundary(st.m_new, st.n_new, sides)
-            self._jnq()
-        with _span("PTP_MN", cat="comm"):
-            for st in self.states.values():
-                fill_ghosts_zero_gradient(st.m_new, ("W", "E", "S", "N"))
-                fill_ghosts_zero_gradient(st.n_new, ("W", "E", "S", "N"))
-            self._ptp(("m", "n"), _TAG_PTP_MN)
-        with _span("OUTPUT"):
-            for st in self.states.values():
-                st.swap()
+def _rank_runtimes(
+    grid: NestedGrid,
+    bathymetry,
+    config: SimulationConfig,
+    decomp: Decomposition,
+    frame_halos: bool = False,
+) -> list[_RankRuntime]:
+    """Every rank's runtime, built (and CFL-checked) before any rank runs."""
+    owner = decomp.owner_map()
+    plan = StepPlan.build(grid, config)
+    return [
+        _RankRuntime(r, grid, bathymetry, config, plan, owner, frame_halos)
+        for r in range(decomp.n_ranks)
+    ]
 
 
 def run_distributed(
@@ -421,9 +149,12 @@ def run_distributed(
     the transport with a NACK/retransmit correction path.  Detections
     and corrections land in the policy's shared tracker.
     """
-    from repro.fault.scenarios import initial_eta_for_block
-
-    topo = _build_topology(grid, decomp, config)
+    runtimes = _rank_runtimes(
+        grid, bathymetry, config, decomp, frame_halos=integrity is not None
+    )
+    if source is not None:
+        for rt in runtimes:
+            rt.set_initial_condition(source)
 
     comm_wrap = None
     if fault_plan is not None:
@@ -435,20 +166,9 @@ def run_distributed(
         # Each rank is a thread: bind the rank id to this thread's spans
         # so trace tracks and the imbalance summary separate per rank.
         get_tracer().set_context(rank=comm.rank)
-        rt = _RankRuntime(
-            comm, grid, decomp, bathymetry, config, topo,
-            frame_halos=integrity is not None,
-        )
-        if source is not None:
-            for bid, st in rt.states.items():
-                lvl = grid.level(st.block.level)
-                st.set_initial_eta(
-                    initial_eta_for_block(
-                        source, st.block, lvl.dx, depth=st.depth_interior()
-                    )
-                )
-        for _ in range(n_steps):
-            rt.step()
+        rt = runtimes[comm.rank]
+        rt.comm = comm
+        rt.run(n_steps)
         return {bid: st.eta_interior().copy() for bid, st in rt.states.items()}
 
     if store is None:

@@ -83,14 +83,7 @@ def drop_finest_level(model: RTiModel) -> RTiModel:
     degraded.time = model.time
     degraded.step_count = model.step_count
     degraded.output_every = model.output_every
-    for bid, st in degraded.states.items():
-        src = model.states[bid]
-        for dst_buf, src_buf in (
-            (st._z, src._z), (st._m, src._m), (st._n, src._n)
-        ):
-            dst_buf[0][...] = src_buf[0]
-            dst_buf[1][...] = src_buf[1]
-        st._flip = src._flip
+    degraded.restore_blocks(model.snapshot_blocks(degraded.states))
     for bid, acc in degraded.outputs.items():
         src = model.outputs[bid]
         acc.zmax[...] = src.zmax

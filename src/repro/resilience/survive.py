@@ -69,7 +69,7 @@ from repro.obs.log import get_logger
 from repro.obs.trace import get_tracer, instant
 from repro.par.comm import run_ranks
 from repro.par.decomposition import Decomposition
-from repro.par.driver import _build_topology, _RankRuntime
+from repro.par.driver import _rank_runtimes, _RankRuntime
 from repro.persist.journal import EVENT_RANK_FAILURE, EVENT_RECOVERY_EPOCH
 from repro.resilience.faultplan import FaultPlan
 from repro.resilience.health import StepTimeMonitor
@@ -155,7 +155,7 @@ class RankSnapshot:
     """One rank's in-memory checkpoint entry for one epoch.
 
     ``blocks`` maps block_id to the ``(z0, z1, m0, m1, n0, n1, flip)``
-    buffer tuple of :meth:`repro.par.driver._RankRuntime.snapshot_blocks`
+    buffer tuple of :meth:`repro.core.state.BlockState.capture`
     — deep copies, safe to ship and to hold across steps.
 
     ``checksums`` (``{bid: {"crc": ..., "sum": ...}}`` from
@@ -633,7 +633,6 @@ def survivable_run_distributed(
     failure and recovery epoch write-ahead.
     """
     from repro.balance.apply import shrink_decomposition
-    from repro.fault.scenarios import initial_eta_for_block
 
     scfg = survival or SurvivalConfig()
     report = SurvivalReport(n_steps=n_steps)
@@ -659,7 +658,12 @@ def survivable_run_distributed(
     rounds = 0
 
     while True:
-        topo = _build_topology(grid, current, config)
+        runtimes = _rank_runtimes(grid, bathymetry, config, current)
+        for rt in runtimes:
+            if restore is not None:
+                rt.restore_blocks(restore)
+            elif source is not None:
+                rt.set_initial_condition(source)
         report.incarnations.append(
             IncarnationRecord(
                 index=len(report.incarnations),
@@ -670,30 +674,13 @@ def survivable_run_distributed(
                 epoch=epoch_now,
             )
         )
-        this_restore = restore
         this_start = start_step
-        this_decomp = current
-        this_topo = topo
+        this_runtimes = runtimes
 
         def rank_main(comm):
             get_tracer().set_context(rank=comm.rank)
-            rt = _RankRuntime(
-                comm, grid, this_decomp, bathymetry, config, this_topo
-            )
-            if this_restore is None:
-                if source is not None:
-                    for _bid, st in rt.states.items():
-                        lvl = grid.level(st.block.level)
-                        st.set_initial_eta(
-                            initial_eta_for_block(
-                                source,
-                                st.block,
-                                lvl.dx,
-                                depth=st.depth_interior(),
-                            )
-                        )
-            else:
-                rt.restore_blocks(this_restore)
+            rt = this_runtimes[comm.rank]
+            rt.comm = comm
             ckpts = NeighborCheckpointStore(capacity=scfg.store_capacity)
             loop = _SurvivableLoop(
                 comm, rt, scfg, fault_plan, ckpts, n_steps, this_start
@@ -992,17 +979,7 @@ def _breaker_fallback(
     if source is not None:
         model.set_initial_condition(source)
     if restore is not None:
-        for bid, st in model.states.items():
-            if bid not in restore:
-                continue
-            z0, z1, m0, m1, n0, n1, flip = restore[bid]
-            st._z[0][...] = z0
-            st._z[1][...] = z1
-            st._m[0][...] = m0
-            st._m[1][...] = m1
-            st._n[0][...] = n0
-            st._n[1][...] = n1
-            st._flip = flip
+        model.restore_blocks(restore)
         model.time = start_step * config.dt
         model.step_count = start_step
     else:

@@ -1,12 +1,12 @@
 """Intra-level halo (ghost) exchange between neighbor blocks.
 
 Implements the data movement of the paper's PTP_Z (water level) and PTP_MN
-(discharge fluxes) routines for blocks living in the same process: ghost
-layers are copied directly between the two :class:`BlockState` arrays.
-The distributed-memory path (:mod:`repro.par.driver`) moves the *same*
-regions through pack -> simulated MPI -> unpack; both paths share the
-index math of :mod:`repro.xchg.specs`, which is what makes them bitwise
-identical.
+(discharge fluxes) routines for one pair of blocks living in the same
+process: ghost layers are copied directly between the two
+:class:`BlockState` arrays.  The model's step pipeline
+(:mod:`repro.core.model`) walks the same :mod:`repro.xchg.specs` copies
+from a plan built once; a copy whose two blocks sit on different ranks
+goes through pack -> simulated MPI -> unpack instead of a slice copy.
 
 The exchanged range extends into the ghost rows/columns where both padded
 arrays cover them; combined with the zero-gradient fill this makes a

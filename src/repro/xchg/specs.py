@@ -2,11 +2,10 @@
 
 A *copy spec* names a rectangular region of a source block's padded array
 and the region of the destination block's padded array it fills.  The
-in-process exchange (:mod:`repro.xchg.halo`) applies specs directly; the
-distributed driver (:mod:`repro.par.driver`) packs the source region into
-a buffer, ships it over MPI, and unpacks into the destination region —
-the two paths are bitwise identical by construction because they share
-this index math.
+step plan (:mod:`repro.core.plan`) enumerates every seam's specs once;
+the step pipeline applies a spec as a slice copy when both blocks are in
+the process, and otherwise packs the source region into a buffer, ships
+it over the simulated MPI and unpacks it into the destination region.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from repro.par.decomposition import (
     equal_cell_assignment,
 )
 from repro.par.driver import run_distributed
-from repro.errors import DecompositionError
+from repro.errors import CFLError, DecompositionError
 from repro.topo import build_mini_kochi
 from repro.validation import FlatBathymetry
 
@@ -172,3 +172,47 @@ class TestAutoNestDistributed:
                                timeout=240.0)
         ref = reference_run(grid, bathy, cfg, src, n_steps)
         assert_identical(ref, dist)
+
+
+class TestCFLCheck:
+    """Rank state goes through the model's CFL-checked construction."""
+
+    def setup_method(self):
+        self.mk = build_mini_kochi()
+        # dx/dt = 135 m/s < sqrt(2 g h_max) = 209.5 m/s on mini-Kochi.
+        self.cfg = SimulationConfig(dt=20 * self.mk.dt)
+        self.decomp = equal_cell_assignment(
+            self.mk.grid, 2, split_blocks=False
+        )
+
+    def _count_steps(self, monkeypatch) -> list:
+        steps = []
+        real = RTiModel.step
+        monkeypatch.setattr(
+            RTiModel, "step", lambda model: (steps.append(1), real(model))
+        )
+        return steps
+
+    def test_single_process_rejects(self):
+        with pytest.raises(CFLError):
+            RTiModel(self.mk.grid, self.mk.bathymetry, self.cfg)
+
+    def test_run_distributed_rejects_before_any_step(self, monkeypatch):
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(CFLError):
+            run_distributed(
+                self.mk.grid, self.mk.bathymetry, self.cfg, self.decomp,
+                None, 3,
+            )
+        assert steps == []
+
+    def test_survivable_run_rejects_before_any_step(self, monkeypatch):
+        from repro.resilience.survive import survivable_run_distributed
+
+        steps = self._count_steps(monkeypatch)
+        with pytest.raises(CFLError):
+            survivable_run_distributed(
+                self.mk.grid, self.mk.bathymetry, self.cfg, self.decomp,
+                None, 3,
+            )
+        assert steps == []

@@ -100,3 +100,28 @@ class TestVolume:
         st = make_state(nx=2, ny=2, depth=10.0)
         st.set_initial_eta(np.full((2, 2), 1.0))
         assert st.volume() == pytest.approx(4 * 11.0 * 100.0)
+
+
+class TestCaptureRestore:
+    def test_capture_is_a_deep_seven_tuple(self):
+        st = make_state()
+        st.z_new[...] = 2.0
+        st.swap()
+        snap = st.capture()
+        assert len(snap) == 7 and snap[6] == 1
+        assert [a.shape for a in snap[:6]] == [
+            a.shape for a in st.state_arrays().values()
+        ]
+        st.z_old[...] = 9.0
+        assert snap[1].max() == 2.0  # a copy, not a view
+
+    def test_restore_is_bitwise(self):
+        st = make_state()
+        st.m_new[...] = np.arange(st.m_new.size).reshape(st.m_new.shape)
+        snap = st.capture()
+        st.swap()
+        st.m_old[...] = -1.0
+        st.restore(snap)
+        assert st._flip == 0
+        for a, b in zip(st.capture()[:6], snap[:6]):
+            assert np.array_equal(a, b)
