@@ -11,7 +11,10 @@ the dry threshold have their water level pinned to the ground elevation
 
 This routine is one of the two bottlenecks the paper migrates (60-70 % of
 runtime together with NLMNT2), so it is written as a single pass of
-vectorized, mostly in-place NumPy operations.
+vectorized NumPy operations that allocate nothing: intermediates go to
+this thread's scratch arena (:mod:`repro.core.scratch`) with the same
+per-element operation order as the formula above (see
+:mod:`repro.core.momentum` for the rules).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD
+from repro.core.scratch import copy_margins, views
 from repro.grid.staggered import NGHOST
 
 
@@ -54,19 +58,28 @@ def nlmass(
     nx = z_old.shape[1] - 2 * g
     cj = slice(g, g + ny)
     ci = slice(g, g + nx)
+    div, dry = views(
+        ("nlmass", ny, nx, z_old.dtype),
+        lambda slot: (
+            slot("f0", (ny, nx), z_old.dtype),
+            slot("b0", (ny, nx), np.bool_),
+        ),
+    )
 
     # Flux divergence.  M face i is the left edge of cell i; N face j is
     # the bottom edge of cell j.
-    dmdx = m_old[cj, g + 1 : g + nx + 1] - m_old[cj, g : g + nx]
-    dndy = n_old[g + 1 : g + ny + 1, ci] - n_old[g : g + ny, ci]
-
-    out[...] = z_old
+    copy_margins(out, z_old, cj, ci)
     zi = out[cj, ci]
-    zi -= (dt / dx) * dmdx
-    zi += (-dt / dx) * dndy
+    np.subtract(m_old[cj, g + 1 : g + nx + 1], m_old[cj, g : g + nx], out=div)
+    div *= dt / dx
+    np.subtract(z_old[cj, ci], div, out=zi)
+    np.subtract(n_old[g + 1 : g + ny + 1, ci], n_old[g : g + ny, ci], out=div)
+    div *= -dt / dx
+    zi += div
 
     # Wet/dry clamp (moving shoreline): pin dry cells to the ground.
     h = hz[cj, ci]
-    dry = (zi + h) < dry_threshold
-    np.copyto(zi, -h, where=dry)
+    np.add(zi, h, out=div)
+    np.less(div, dry_threshold, out=dry)
+    np.negative(h, out=zi, where=dry)
     return out

@@ -320,7 +320,8 @@ class RTiModel:
                     continue
                 if cfg.boundary == "open":
                     apply_open_boundary(
-                        st.z_new, st.m_new, st.n_new, st.hz, sides
+                        st.z_new, st.m_new, st.n_new, st.hz, sides,
+                        dry_threshold=cfg.dry_threshold,
                     )
                 else:
                     apply_wall_boundary(st.m_new, st.n_new, sides)
@@ -349,6 +350,7 @@ class RTiModel:
                         st.hz,
                         self.time,
                         dry_threshold=cfg.dry_threshold,
+                        velocity_cap=cfg.velocity_cap,
                     )
             for st in self.states.values():
                 st.swap()

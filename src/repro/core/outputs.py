@@ -2,7 +2,10 @@
 
 The operational forecast products are running extrema, not snapshots: the
 maximum water level, maximum flow speed, maximum inundation depth on land,
-and the tsunami arrival time.  These are accumulated in place each step.
+and the tsunami arrival time.  These are accumulated in place each step,
+without allocating: intermediates go to this thread's scratch arena
+(:mod:`repro.core.scratch`), with the same per-element operations as the
+formulas in :meth:`OutputAccumulator.update`.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import DRY_THRESHOLD, MAX_VELOCITY
+from repro.core.scratch import views
 from repro.grid.block import Block
 from repro.grid.staggered import NGHOST, interior
 
@@ -78,43 +82,72 @@ class OutputAccumulator:
         time: float,
         dry_threshold: float = DRY_THRESHOLD,
         nghost: int = NGHOST,
+        velocity_cap: float = MAX_VELOCITY,
     ) -> None:
-        """Fold one step's padded state arrays into the running products."""
+        """Fold one step's padded state arrays into the running products.
+
+        In formulas, with ``d = max(z + h, 0)`` and
+        ``wet = d > dry_threshold``::
+
+            zmax = max(zmax, where(wet, z, zmax))
+            speed = where(deep, hypot(mc, nc) / max(d, s), 0)
+            vmax = max(vmax, min(speed, cap))
+            inundation_max = max(inundation_max, where(land & wet, d, 0))
+            arrival_time[isinf(arrival_time) & (|z - z0| > threshold)] = time
+
+        where ``mc``/``nc`` are the face fluxes averaged to cell centers,
+        ``s = SPEED_MIN_DEPTH``, ``deep = d > max(dry_threshold, s)`` and
+        ``cap`` is *velocity_cap*, the solver's own velocity cap.
+        """
         ny, nx = self.block.ny, self.block.nx
         sl = interior(ny, nx, nghost)
         g = nghost
         zi = z[sl]
         hi = hz[sl]
-        d = np.maximum(zi + hi, 0.0)
-        wet = d > dry_threshold
+        d, speed, tmp, wet, mask = views(
+            ("outputs", ny, nx, zi.dtype),
+            lambda slot: (
+                *(slot(f"f{k}", (ny, nx), zi.dtype) for k in range(3)),
+                *(slot(f"b{k}", (ny, nx), np.bool_) for k in range(2)),
+            ),
+        )
+        np.add(zi, hi, out=d)
+        np.maximum(d, 0.0, out=d)
+        np.greater(d, dry_threshold, out=wet)
 
-        np.maximum(self.zmax, np.where(wet, zi, self.zmax), out=self.zmax)
+        np.maximum(self.zmax, zi, out=self.zmax, where=wet)
 
-        # Cell-centered speed from face fluxes.
-        mc = 0.5 * (m[g : g + ny, g : g + nx] + m[g : g + ny, g + 1 : g + nx + 1])
-        nc = 0.5 * (n[g : g + ny, g : g + nx] + n[g + 1 : g + ny + 1, g : g + nx])
+        # Cell-centered speed from face fluxes: speed holds mc, tmp nc.
+        np.add(m[g : g + ny, g : g + nx], m[g : g + ny, g + 1 : g + nx + 1],
+               out=speed)
+        speed *= 0.5
+        np.add(n[g : g + ny, g : g + nx], n[g + 1 : g + ny + 1, g : g + nx],
+               out=tmp)
+        tmp *= 0.5
+        np.hypot(speed, tmp, out=speed)
         # Speeds are meaningless on very thin films, and the face fluxes
         # feeding a shoreline cell may reference a much larger face depth;
         # report only where the water column is resolvable, clipped to the
         # solver's own velocity cap.
-        deep_enough = d > max(dry_threshold, self.SPEED_MIN_DEPTH)
-        speed = np.where(
-            deep_enough, np.hypot(mc, nc) / np.maximum(d, self.SPEED_MIN_DEPTH), 0.0
-        )
-        np.minimum(speed, MAX_VELOCITY, out=speed)
+        np.maximum(d, self.SPEED_MIN_DEPTH, out=tmp)
+        speed /= tmp
+        np.greater(d, max(dry_threshold, self.SPEED_MIN_DEPTH), out=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(speed, 0.0, where=mask)
+        np.minimum(speed, velocity_cap, out=speed)
         np.maximum(self.vmax, speed, out=self.vmax)
 
-        np.maximum(
-            self.inundation_max,
-            np.where(self._land & wet, d, 0.0),
-            out=self.inundation_max,
-        )
+        np.logical_and(self._land, wet, out=mask)
+        np.logical_not(mask, out=mask)
+        np.copyto(d, 0.0, where=mask)
+        np.maximum(self.inundation_max, d, out=self.inundation_max)
 
-        arrived = (
-            np.isinf(self.arrival_time)
-            & (np.abs(zi - self._z0) > self.arrival_threshold)
-        )
-        self.arrival_time[arrived] = time
+        np.subtract(zi, self._z0, out=tmp)
+        np.abs(tmp, out=tmp)
+        np.greater(tmp, self.arrival_threshold, out=mask)
+        np.isinf(self.arrival_time, out=wet)
+        mask &= wet
+        np.copyto(self.arrival_time, time, where=mask)
 
     def inundated_area(self, dx: float) -> float:
         """Area of land that got wet at any time [m^2]."""
