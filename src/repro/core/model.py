@@ -21,10 +21,29 @@ own blocks; a transfer with an endpoint on another rank is packed and
 sent, or received and unpacked, through its communicator.  The
 distributed performance replay of the pipeline lives in
 :mod:`repro.runtime`.
+
+The compute phases (NLMASS, NLMNT2, OUTPUT) run their blocks
+concurrently when the blocks are large enough: the measured CPU
+analogue of the paper's asynchronous multi-queue launch (Figs. 10-11),
+where independent per-block kernels overlap instead of running one
+after another.  A phase deals its blocks of at least ``POOL_MIN_CELLS``
+cells largest-first into one group per usable core; the calling thread
+runs the group with the largest block and a process-wide pool of
+``cores - 1`` threads runs the others.  NumPy releases the interpreter
+lock inside its array loops, and each thread has its own scratch arena
+(:mod:`repro.core.scratch`), so the blocks of a phase are independent
+and the results are bitwise those of the serial loop, which smaller
+blocks (mini-Kochi) keep.  This is real execution on this host; the
+simulated launch strategies of :mod:`repro.hw` and :mod:`repro.runtime`
+replay the paper's hardware and are not affected by it.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable
 
 import numpy as np
@@ -73,6 +92,99 @@ _TAG_JNZ = 3_000_000
 _TAG_JNQ = 4_000_000
 
 _NEW = {"z": "z_new", "m": "m_new", "n": "n_new"}
+
+# Block-parallel compute phases (see RTiModel.step).
+
+#: Cores this process may run on: a compute phase splits its blocks into
+#: at most this many groups, one per core.
+try:
+    _CORES = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity masks on this platform
+    _CORES = os.cpu_count() or 1
+
+#: Smallest block, in cells, that a compute phase hands to the block
+#: pool.  Measured on a 2-core Xeon (NumPy 2.4): one phase over all
+#: blocks of mini-Kochi scaled k-fold in each direction, two threads vs
+#: one, speed-up of the phase over two runs: x0.6-1.0 at k=1 (smallest
+#: block 1.3k cells), x0.9-1.0 at k=2 (5k), x0.95-1.45 at k=3 (11k) and
+#: x1.4-1.6 at k=4 (20k), for NLMASS, NLMNT2 and OUTPUT alike.  On small
+#: blocks a kernel's Python-level ufunc calls, which hold the
+#: interpreter lock, cost as much as its array work, so the threads
+#: mostly take turns.
+POOL_MIN_CELLS = 16_384
+
+#: Block sets whose partition a model keeps (a rank that keeps
+#: migrating blocks recomputes instead of accumulating them).
+_PARTITIONS_KEPT = 8
+
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The process-wide pool of ``_CORES - 1`` block workers.
+
+    Made on first use and shared by every model and rank in the process.
+    A worker only ever runs kernels, never a step, so a caller waiting
+    on it cannot deadlock.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(
+                max_workers=_CORES - 1, thread_name_prefix="repro-blocks"
+            )
+        return _POOL
+
+
+def _partition(cells: dict[int, int]) -> list[list[int]] | None:
+    """Block groups for one compute phase, or ``None`` to run it serially.
+
+    *cells* maps block id to cell count.  The blocks of at least
+    ``POOL_MIN_CELLS`` cells are dealt largest first (LPT), each to the
+    group with the fewest cells so far, over at most ``_CORES`` groups.
+    Group 0 gets the largest block and every smaller block; the calling
+    thread runs it.  Fewer than two such blocks, or one core: serial.
+    """
+    big = sorted(
+        (b for b in cells if cells[b] >= POOL_MIN_CELLS),
+        key=cells.__getitem__,
+        reverse=True,
+    )
+    n = min(_CORES, len(big))
+    if n < 2:
+        return None
+    groups = [[big[0], *(b for b in cells if cells[b] < POOL_MIN_CELLS)]]
+    groups += [[] for _ in range(n - 1)]
+    loads = [sum(cells[b] for b in groups[0])] + [0] * (n - 1)
+    for b in big[1:]:
+        k = loads.index(min(loads))
+        groups[k].append(b)
+        loads[k] += cells[b]
+    return groups
+
+
+def _run_groups(kernel: Callable, groups: list[list[int]]) -> None:
+    """``kernel(group)`` for every group: the first on this thread, the
+    rest on the block pool; returns when all are done.
+
+    Each pool task runs in a copy of this thread's ``contextvars``
+    context (NumPy keeps ``errstate`` and ``setbufsize`` there) and under
+    its trace context and rank.  An exception from any group is raised
+    here, after every group has finished.
+    """
+    task = _TRACER.carry(kernel)
+    pool = _block_pool()
+    futures = [
+        pool.submit(contextvars.copy_context().run, task, group)
+        for group in groups[1:]
+    ]
+    try:
+        kernel(groups[0])
+    finally:
+        wait(futures)
+    for fut in futures:
+        fut.result()
 
 
 class CompositeMonitor:
@@ -139,10 +251,12 @@ class RTiModel:
             grid, bathymetry, config, StepPlan.build(grid, config),
             [blk for lvl in grid.levels for blk in lvl.blocks],
         )
-        self.outputs: dict[int, OutputAccumulator] = dict.fromkeys(
-            self.states
-        )
-        self._init_outputs()
+        self.outputs: dict[int, OutputAccumulator] = {
+            bid: OutputAccumulator(
+                st.block, st.depth_interior(), st.eta_interior()
+            )
+            for bid, st in self.states.items()
+        }
 
     # ------------------------------------------------------------------
     # Setup
@@ -166,6 +280,10 @@ class RTiModel:
         # resolved lazily on the first observed step so a disabled run
         # never touches the registry.
         self._n_cells = grid.n_cells
+        #: ``tuple(block ids) -> _partition(...)``, for the block sets the
+        #: compute phases have run over (they change when a rank adopts
+        #: or drops blocks).
+        self._partitions: dict[tuple, list[list[int]] | None] = {}
         self._obs_metrics = None
         self._obs_wall_s = 0.0
         self._obs_steps = 0
@@ -186,29 +304,25 @@ class RTiModel:
         check_cfl_depth_field(dx, self.config.dt, depth[1:-1, 1:-1])
         return BlockState(blk, dx, depth, dtype=self.config.dtype)
 
-    def _init_outputs(self) -> None:
-        # Only the blocks in ``outputs`` accumulate products: all of them
-        # on a single process, none on a distributed rank.
-        for bid in self.outputs:
-            st = self.states[bid]
-            self.outputs[bid] = OutputAccumulator(
-                st.block,
-                st.depth_interior(),
-                st.eta_interior().copy(),
-            )
-
     def set_initial_condition(self, source) -> None:
         """Impose a tsunami source on every block this model holds.
 
         *source* is a :class:`~repro.fault.GaussianSource` or a list of
-        :class:`~repro.fault.OkadaFault` segments.
+        :class:`~repro.fault.OkadaFault` segments.  The forecast products
+        restart from the new water level in place
+        (:meth:`OutputAccumulator.reset`): the accumulators and their
+        arrays stay the same objects, so product arrays held from before
+        this call are overwritten.
         """
         for st in self.states.values():
             eta = initial_eta_for_block(
                 source, st.block, st.dx, depth=st.depth_interior()
             )
             st.set_initial_eta(eta)
-        self._init_outputs()
+        # Only the blocks in ``outputs`` accumulate products: all of them
+        # on a single process, none on a distributed rank.
+        for bid, acc in self.outputs.items():
+            acc.reset(self.states[bid].eta_interior())
 
     def snapshot_blocks(self, block_ids=None) -> dict[int, tuple]:
         """:meth:`BlockState.capture` of the given (default: all) blocks."""
@@ -245,6 +359,15 @@ class RTiModel:
         offline performance replay.  With tracing disabled (the
         default) each span is a shared no-op — see the <5 % overhead
         guard in ``tests/test_obs.py``.
+
+        NLMASS, NLMNT2 and OUTPUT each go through :meth:`_each_block`:
+        one serial loop over the blocks, or, for blocks of at least
+        ``POOL_MIN_CELLS`` cells on a multi-core host, their groups at
+        once on the block pool (see the module docstring).  Either way
+        the phase ends before the next one starts.  Pool tasks run in
+        the caller's ``contextvars`` context (so ``np.errstate`` and
+        ``np.setbufsize`` apply to them) and under its trace context
+        and rank, and a kernel's exception is raised from this call.
         """
         cfg = self.config
         dt = cfg.dt
@@ -254,26 +377,9 @@ class RTiModel:
 
             _t0 = _time.perf_counter()
 
-        # (1) NLMASS on every block.  Per-block kernel spans carry the
-        # block's cell count so live traces can recalibrate the Fig.-5
-        # linear cost model (repro.balance.calibrate); the hoisted
-        # obs_on check keeps the disabled path allocation-free.
+        # (1) NLMASS on every block.
         with _span("NLMASS"):
-            for st in self.states.values():
-                with (
-                    _span("NLMASS.kernel", cells=st.block.n_cells)
-                    if obs_on else _NOOP_SPAN
-                ):
-                    nlmass(
-                        st.z_old,
-                        st.m_old,
-                        st.n_old,
-                        st.hz,
-                        dt,
-                        st.dx,
-                        out=st.z_new,
-                        dry_threshold=cfg.dry_threshold,
-                    )
+            self._each_block(self._nlmass_blocks, self.states)
 
         # (2) JNZ: child -> parent restriction, finest level first so a
         # multi-level cascade settles coarse levels last.
@@ -290,25 +396,7 @@ class RTiModel:
 
         # (4) NLMNT2 on every block.
         with _span("NLMNT2"):
-            for st in self.states.values():
-                with (
-                    _span("NLMNT2.kernel", cells=st.block.n_cells)
-                    if obs_on else _NOOP_SPAN
-                ):
-                    nlmnt2(
-                        st.z_new,
-                        st.m_old,
-                        st.n_old,
-                        st.hz,
-                        dt,
-                        st.dx,
-                        cfg.manning,
-                        out_m=st.m_new,
-                        out_n=st.n_new,
-                        nonlinear=cfg.nonlinear,
-                        dry_threshold=cfg.dry_threshold,
-                        velocity_cap=cfg.velocity_cap,
-                    )
+            self._each_block(self._nlmnt2_blocks, self.states)
 
         # (5) Boundary conditions: outer BC on level 1, JNQ elsewhere,
         # coarse level first (a level's pack may read an edge face the
@@ -341,22 +429,106 @@ class RTiModel:
         self.step_count += 1
         with _span("OUTPUT"):
             if self.step_count % self.output_every == 0:
-                for bid, acc in self.outputs.items():
-                    st = self.states[bid]
-                    acc.update(
-                        st.z_new,
-                        st.m_new,
-                        st.n_new,
-                        st.hz,
-                        self.time,
-                        dry_threshold=cfg.dry_threshold,
-                        velocity_cap=cfg.velocity_cap,
-                    )
+                self._each_block(self._output_blocks, self.outputs)
             for st in self.states.values():
                 st.swap()
 
         if obs_on:
             self._observe_step(_time.perf_counter() - _t0)
+
+    # -- compute phases: per-block kernels, serial or block-parallel ----
+
+    def _each_block(self, kernel: Callable, blocks: dict) -> None:
+        """``kernel(ids)`` over the block ids of *blocks*, in one of two ways.
+
+        Serially, in ``blocks`` order, when :func:`_partition` declines;
+        otherwise on the partition's groups at once (:func:`_run_groups`).
+        The partition is cached per block set, so it always covers the
+        blocks held now.
+        """
+        key = tuple(blocks)
+        try:
+            groups = self._partitions[key]
+        except KeyError:
+            groups = _partition(
+                {bid: self.states[bid].block.n_cells for bid in key}
+            )
+            if len(self._partitions) >= _PARTITIONS_KEPT:
+                self._partitions.clear()
+            self._partitions[key] = groups
+        if groups is None:
+            kernel(blocks)
+        else:
+            _run_groups(kernel, groups)
+
+    def _nlmass_blocks(self, ids) -> None:
+        """NLMASS on the blocks *ids*.
+
+        Per-block kernel spans carry the block's cell count so live
+        traces can recalibrate the Fig.-5 linear cost model
+        (repro.balance.calibrate); the hoisted check keeps the disabled
+        path allocation-free.
+        """
+        cfg = self.config
+        obs_on = _TRACER.enabled
+        for bid in ids:
+            st = self.states[bid]
+            with (
+                _span("NLMASS.kernel", cells=st.block.n_cells)
+                if obs_on else _NOOP_SPAN
+            ):
+                nlmass(
+                    st.z_old,
+                    st.m_old,
+                    st.n_old,
+                    st.hz,
+                    cfg.dt,
+                    st.dx,
+                    out=st.z_new,
+                    dry_threshold=cfg.dry_threshold,
+                )
+
+    def _nlmnt2_blocks(self, ids) -> None:
+        """NLMNT2 on the blocks *ids*."""
+        cfg = self.config
+        obs_on = _TRACER.enabled
+        for bid in ids:
+            st = self.states[bid]
+            with (
+                _span("NLMNT2.kernel", cells=st.block.n_cells)
+                if obs_on else _NOOP_SPAN
+            ):
+                nlmnt2(
+                    st.z_new,
+                    st.m_old,
+                    st.n_old,
+                    st.hz,
+                    cfg.dt,
+                    st.dx,
+                    cfg.manning,
+                    out_m=st.m_new,
+                    out_n=st.n_new,
+                    nonlinear=cfg.nonlinear,
+                    dry_threshold=cfg.dry_threshold,
+                    velocity_cap=cfg.velocity_cap,
+                )
+
+    def _output_blocks(self, ids) -> None:
+        """Fold the new state of the blocks *ids* into their products."""
+        cfg = self.config
+        for bid in ids:
+            st = self.states[bid]
+            self.outputs[bid].update(
+                st.z_new,
+                st.m_new,
+                st.n_new,
+                st.hz,
+                self.time,
+                dry_threshold=cfg.dry_threshold,
+                velocity_cap=cfg.velocity_cap,
+            )
+
+    # -- transfers --------------------------------------------------------
 
     def _seams(self, seams, tag_base: int) -> None:
         """Halo copies strictly in plan order.

@@ -45,6 +45,7 @@ class OutputAccumulator:
         "arrival_time",
         "_z0",
         "_land",
+        "_no_sea",
     )
 
     #: Minimum depth [m] for reporting a flow speed; operational codes do
@@ -64,14 +65,34 @@ class OutputAccumulator:
             raise ValueError("accumulator fields must match block physical size")
         self.block = block
         self.arrival_threshold = float(arrival_threshold)
+        self._land = depth_interior < 0.0
+        # Where zmax starts at -inf (kept so reset() allocates nothing).
+        self._no_sea = ~(depth_interior > 0.0)
+        self.zmax = np.empty((ny, nx), np.result_type(initial_eta, -np.inf))
+        self.vmax = np.empty((ny, nx))
+        self.inundation_max = np.empty((ny, nx))
+        self.arrival_time = np.empty((ny, nx))
+        self._z0 = np.empty((ny, nx), initial_eta.dtype)
+        self.reset(initial_eta)
+
+    def reset(self, initial_eta: np.ndarray) -> None:
+        """Restart every product from *initial_eta*, in place.
+
+        Afterwards the accumulator equals one freshly built over the same
+        block and depth with *initial_eta*, byte for byte.  The product
+        arrays are overwritten, not replaced: a caller holding one sees
+        the restarted values.
+        """
+        if initial_eta.shape != self.zmax.shape:
+            raise ValueError("accumulator fields must match block physical size")
         # Max water level is only defined where water has been: dry land
         # starts at -inf and is promoted when (if) the flood arrives.
-        self.zmax = np.where(depth_interior > 0.0, initial_eta, -np.inf)
-        self.vmax = np.zeros((ny, nx))
-        self.inundation_max = np.zeros((ny, nx))
-        self.arrival_time = np.full((ny, nx), np.inf)
-        self._z0 = initial_eta.copy()
-        self._land = depth_interior < 0.0
+        np.copyto(self.zmax, initial_eta)
+        np.copyto(self.zmax, -np.inf, where=self._no_sea)
+        self.vmax.fill(0.0)
+        self.inundation_max.fill(0.0)
+        self.arrival_time.fill(np.inf)
+        np.copyto(self._z0, initial_eta)
 
     def update(
         self,

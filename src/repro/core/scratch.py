@@ -4,11 +4,16 @@ The NLMASS, NLMNT2 and OUTPUT kernels write every intermediate into
 preallocated buffers handed out here instead of allocating NumPy
 temporaries.  The arena is bounded and thread-safe by construction:
 
-* each thread owns its buffers (distributed ranks step in threads, so a
-  buffer shared between threads would be a data race);
+* each thread owns its buffers (distributed ranks step in threads, and
+  the block pool of :mod:`repro.core.model` runs kernels on up to
+  ``cores - 1`` worker threads besides the caller, so a buffer shared
+  between threads would be a data race);
 * a thread holds one flat buffer per named slot and dtype, grown to the
   largest request it has seen, so its footprint is a few times the
-  largest block's field size, however many blocks it steps;
+  largest block's field size, however many blocks it steps.  Pool
+  workers live as long as the process and keep their arenas, so the
+  scratch memory of a process is bounded by its stepping threads
+  (callers plus ``cores - 1`` workers) times one arena;
 * a kernel asks :func:`views` for all of its slots at once, as C- or
   F-order ``reshape`` views of the buffers' prefixes.  The views are
   cached per kernel layout, and the cache is dropped whenever a buffer

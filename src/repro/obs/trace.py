@@ -235,6 +235,34 @@ class Tracer:
                 return TraceContext(top.trace_id, top.span_id)
         return tls.ctx_stack[-1] if tls.ctx_stack else None
 
+    def carry(self, fn):
+        """*fn*, wrapped to run on any thread as if called on this one.
+
+        For work handed to another thread, such as the block pool of
+        :mod:`repro.core.model`: spans *fn* opens hang under this
+        thread's :meth:`current_context` and carry this thread's rank.
+        The running thread's own rank is restored afterwards.  While the
+        tracer is disabled this returns *fn* itself.
+        """
+        if not self.enabled:
+            return fn
+        ctx = self.current_context()
+        rank = self._tls_state().rank
+
+        def carried(*args, **kwargs):
+            tls = self._tls_state()
+            saved = tls.rank
+            tls.rank = rank
+            try:
+                if ctx is None:
+                    return fn(*args, **kwargs)
+                with self.context(ctx):
+                    return fn(*args, **kwargs)
+            finally:
+                tls.rank = saved
+
+        return carried
+
     # -- recording -------------------------------------------------------
 
     def span(self, name: str, cat: str = CAT_COMPUTE, **args):

@@ -152,3 +152,59 @@ class TestOutputAccumulator:
         blk = Block(0, 1, 0, 0, 4, 4)
         with pytest.raises(ValueError):
             OutputAccumulator(blk, np.zeros((2, 2)), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reset_equals_a_fresh_accumulator(self, dtype):
+        blk = Block(0, 1, 0, 0, 3, 2)
+        depth = np.array([[-2.0, 0.0, 5.0], [10.0, -0.5, 0.2]])
+        eta0 = np.zeros((2, 3), dtype)
+        acc = OutputAccumulator(blk, depth, eta0)
+        arrays = acc.product_arrays()
+        z = np.zeros(eta_shape(2, 3), dtype)
+        z[G:-G, G:-G] = 3.0  # flood everything, so every product moves
+        m = np.full(flux_m_shape(2, 3), 4.0)
+        n = np.full(flux_n_shape(2, 3), -1.0)
+        acc.update(z, m, n, np.pad(depth, G, mode="edge"), time=7.0)
+        eta1 = np.array([[0.0, 0.5, 1.0], [-1.0, 0.0, 2.0]], dtype)
+        acc.reset(eta1)
+        fresh = OutputAccumulator(blk, depth, eta1)
+        for key, want in fresh.product_arrays().items():
+            got = acc.product_arrays()[key]
+            assert got is arrays[key], key  # restarted in place
+            assert got.dtype == want.dtype, key
+            assert got.tobytes() == want.tobytes(), key
+        with pytest.raises(ValueError):
+            acc.reset(np.zeros((3, 2)))
+
+    def test_model_set_up_builds_each_accumulator_once(self, monkeypatch):
+        from repro.core import RTiModel, SimulationConfig
+        from repro.fault import GaussianSource
+        from repro.grid.hierarchy import NestedGrid
+        from repro.grid.level import GridLevel
+        from repro.validation import FlatBathymetry
+
+        built = []
+        init = OutputAccumulator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OutputAccumulator, "__init__", counting_init)
+        grid = NestedGrid([GridLevel(index=1, dx=100.0, blocks=[
+            Block(0, 1, 0, 0, 12, 10), Block(1, 1, 12, 0, 12, 10)])])
+        model = RTiModel(grid, FlatBathymetry(20.0), SimulationConfig(dt=1.0))
+        model.run(3)
+        before = dict(model.outputs)
+        model.set_initial_condition(
+            GaussianSource(x0=1200.0, y0=500.0, amplitude=1.0, sigma=300.0)
+        )
+        assert len(built) == 2
+        for bid, acc in model.outputs.items():
+            assert acc is before[bid]
+            st = model.states[bid]
+            fresh = OutputAccumulator(
+                st.block, st.depth_interior(), st.eta_interior().copy()
+            )
+            for key, want in fresh.product_arrays().items():
+                assert acc.product_arrays()[key].tobytes() == want.tobytes()
